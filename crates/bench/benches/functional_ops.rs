@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fcc_collectives::functional::AllToAllPlan;
 use fcc_core::op::reference::{build_generator, build_tables};
-use fcc_core::op::{FusedPlan, ZeroCopyPlan};
+use fcc_core::op::FusedPlan;
 use fcc_core::ScheduleKind;
 use fcc_dlrm::{DlrmConfig, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
@@ -58,10 +58,11 @@ fn fused_vs_unfused(c: &mut Criterion) {
             });
         });
 
-        // Zero-copy: direct stores (all-P2P world).
+        // Zero-copy: the same operator on one P2P group, where every
+        // vector is a direct store (one slice per destination shard).
         group.bench_with_input(BenchmarkId::new("zero_copy", n_pes), &n_pes, |b, _| {
             let mut layout = HeapLayout::new();
-            let plan = ZeroCopyPlan::plan(&mut layout, &cfg);
+            let plan = FusedPlan::plan(&mut layout, &cfg, cfg.local_batch());
             let world = ShmemWorld::new(n_pes, layout);
             let mut exec = 0u64;
             b.iter(|| {
@@ -69,7 +70,14 @@ fn fused_vs_unfused(c: &mut Criterion) {
                 world.run(|ctx| {
                     let me = ctx.me();
                     let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-                    plan.execute(ctx, local, &gen, PoolingMode::Sum, exec);
+                    plan.execute(
+                        ctx,
+                        local,
+                        &gen,
+                        PoolingMode::Sum,
+                        ScheduleKind::CommAware,
+                        exec,
+                    );
                 });
             });
         });

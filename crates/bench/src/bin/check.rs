@@ -1,6 +1,8 @@
 //! `check` — the schedule-exploration conformance driver.
 //!
-//! Runs every operator variant in `fcc-check`'s conformance suite under
+//! Runs every operator variant in `fcc-check`'s conformance suite
+//! (`standard_cases`: fused, zerocopy — the fused operator on one P2P
+//! group — generic, elastic, resilient, MoE, allgather-GEMM) under
 //! adversarially chosen delivery schedules: an exhaustive walk of the
 //! put-deferral cube at small PE counts, then seeded schedules at a
 //! larger PE count until each variant has been observed under at least

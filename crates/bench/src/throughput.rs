@@ -9,8 +9,8 @@
 //! * **`fused-book`** — the `Mutex`-booked slow path, forced by
 //!   installing [`ProgramOrder`] (program-order delivery, i.e. the
 //!   pre-ring data plane with zero schedule perturbation);
-//! * **`zerocopy`** — the all-P2P operator, whose stores never touch
-//!   either plane (inline-copy ceiling).
+//! * **`zerocopy`** — the same operator on one P2P group, whose direct
+//!   stores never touch either plane (inline-copy ceiling).
 //!
 //! Both fused variants execute the identical protocol, so their network
 //! PUT counts are equal by construction; the harness derives the count
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fcc_core::op::reference;
-use fcc_core::{FusedPlan, ScheduleKind, ZeroCopyPlan};
+use fcc_core::{FusedPlan, ScheduleKind};
 use fcc_dlrm::{DlrmConfig, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{ProgramOrder, RingStats, ShmemWorld};
@@ -248,11 +248,12 @@ fn run_fused(
     }
 }
 
-/// The all-P2P zero-copy operator: no slices, no staging, no network
-/// plane — the inline-store ceiling both data planes chase.
+/// The fused operator on one P2P group: every vector a direct store, no
+/// staging, no network plane — the inline-store ceiling both data planes
+/// chase. One slice per destination shard keeps the flag traffic minimal.
 fn run_zerocopy(cfg: &DlrmConfig, execs: u64) -> VariantThroughput {
     let mut layout = HeapLayout::new();
-    let plan = ZeroCopyPlan::plan(&mut layout, cfg);
+    let plan = FusedPlan::plan(&mut layout, cfg, cfg.local_batch());
     let mut world = ShmemWorld::new(cfg.n_pes, layout);
     let tables = reference::build_tables(cfg);
     let gen = reference::build_generator(cfg);
@@ -261,7 +262,14 @@ fn run_zerocopy(cfg: &DlrmConfig, execs: u64) -> VariantThroughput {
         world.run(|ctx| {
             let me = ctx.me();
             let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-            plan.execute(ctx, local, &gen, PoolingMode::Sum, exec);
+            plan.execute(
+                ctx,
+                local,
+                &gen,
+                PoolingMode::Sum,
+                ScheduleKind::CommAware,
+                exec,
+            );
         });
     };
 

@@ -29,10 +29,9 @@ use std::time::Duration;
 use fcc_core::ext::allgather_gemm::{reference_gemm, AllGatherGemmPlan};
 use fcc_core::ext::moe::{reference_moe, MoePlan};
 use fcc_core::op::elastic::ElasticFusedPlan;
-use fcc_core::op::generic::{FusedProducer, GenericFusedPlan};
+use fcc_core::op::generic::{FusedGeometry, FusedProducer, GenericFusedPlan};
 use fcc_core::op::reference;
 use fcc_core::op::resilient::ResilientFusedPlan;
-use fcc_core::op::zerocopy::ZeroCopyPlan;
 use fcc_core::{
     FusedPlan, RecoveryBoard, RecoveryCounters, RecoveryPolicy, ScheduleKind, StealPolicy, TeamView,
 };
@@ -237,9 +236,10 @@ impl ProtocolCase for FusedCase {
     }
 }
 
-/// The intra-node zero-copy operator ([`ZeroCopyPlan`]): all traffic is
-/// P2P, so the explorable surface is the RMW interleaving, not put
-/// deferral.
+/// The intra-node zero-copy configuration: [`FusedPlan`] on one P2P
+/// group, where every vector is a direct store. All traffic is P2P, so
+/// the explorable surface is the RMW interleaving (`WG_Done` elections
+/// and `sliceRdy` stores), not put deferral.
 pub struct ZeroCopyCase {
     /// Number of PEs (one fully connected node).
     pub n_pes: usize,
@@ -259,8 +259,8 @@ impl ProtocolCase for ZeroCopyCase {
     }
 
     fn steal_tasks(&self) -> usize {
-        // One task per global sample (the per-table stealing loop).
-        self.batch
+        // One logical WG per (owned table, global sample).
+        self.tables_per_pe * self.batch
     }
 
     fn run_with_steal(
@@ -273,7 +273,9 @@ impl ProtocolCase for ZeroCopyCase {
         cfg.dim = 8;
         cfg.pooling = 4;
         let mut layout = HeapLayout::new();
-        let mut plan = ZeroCopyPlan::plan(&mut layout, &cfg);
+        // One slice per destination shard: slice width only sets how many
+        // `sliceRdy` stores the direct path publishes.
+        let mut plan = FusedPlan::plan(&mut layout, &cfg, cfg.local_batch());
         if let Some(policy) = steal {
             plan.set_steal(policy);
         }
@@ -284,7 +286,14 @@ impl ProtocolCase for ZeroCopyCase {
         world.run(|ctx| {
             let me = ctx.me();
             let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-            plan.execute(ctx, local, &gen, PoolingMode::Sum, 1);
+            plan.execute(
+                ctx,
+                local,
+                &gen,
+                PoolingMode::Sum,
+                ScheduleKind::CommAware,
+                1,
+            );
         });
         let mut mismatch = None;
         for dst in 0..cfg.n_pes {
@@ -311,7 +320,7 @@ impl Exchange {
     }
 }
 
-impl FusedProducer for Exchange {
+impl FusedGeometry for Exchange {
     fn dim(&self) -> usize {
         self.dim
     }
@@ -326,6 +335,9 @@ impl FusedProducer for Exchange {
         let slot = item % self.per_peer;
         (dst, (me * self.per_peer + slot) * self.dim)
     }
+}
+
+impl FusedProducer for Exchange {
     fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
         for (k, v) in out.iter_mut().enumerate() {
             *v = self.value(me, item, k);

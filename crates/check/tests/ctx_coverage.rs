@@ -2,7 +2,8 @@
 //! operator variant carries exactly one originating [`TraceCtx`], on
 //! both data planes.
 //!
-//! The positive sweep drives all seven real variants through
+//! The positive sweep drives all seven real variants (six operators;
+//! zerocopy is the fused operator on one P2P group) through
 //! [`standard_cases`] on the ring fast path and the ordered slow path
 //! and demands a violation-free [`check_ctx_trace`]; the property tests
 //! randomize shapes and schedules. The negative tests pin that the

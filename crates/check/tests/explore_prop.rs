@@ -35,7 +35,8 @@ proptest! {
         prop_assert!(violations.is_empty(), "{violations:?}");
     }
 
-    /// The zero-copy variant has no deferrable puts; seeds perturb the
+    /// The zero-copy configuration (the fused operator on one P2P group)
+    /// has no deferrable puts; seeds perturb the `WG_Done` / `sliceRdy`
     /// RMW interleaving instead.
     #[test]
     fn zerocopy_is_clean_under_random_rmw_perturbation(

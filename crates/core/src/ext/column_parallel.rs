@@ -12,7 +12,42 @@
 
 use fcc_dlrm::{BatchGenerator, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, SymSlice};
+
+use crate::op::generic::{FusedGeometry, GenericFusedPlan};
+
+/// The gather as slice-engine items: PE `me`'s item `s` is its
+/// `dim / n_pes`-wide column chunk of sample `s`, bound for the sample's
+/// owner at column offset `me × dim / n_pes`.
+#[derive(Debug)]
+struct ColumnChunks {
+    n_pes: usize,
+    global_batch: usize,
+    /// Full vector width.
+    dim: usize,
+}
+
+impl FusedGeometry for ColumnChunks {
+    fn dim(&self) -> usize {
+        self.dim / self.n_pes
+    }
+
+    fn num_items(&self, _me: usize) -> usize {
+        self.global_batch
+    }
+
+    fn output_len(&self) -> usize {
+        self.global_batch / self.n_pes * self.dim
+    }
+
+    fn destination(&self, me: usize, sample: usize) -> (usize, usize) {
+        let local = self.global_batch / self.n_pes;
+        (
+            sample / local,
+            (sample % local) * self.dim + me * self.dim(),
+        )
+    }
+}
 
 /// Plan for one column-sharded table over `n_pes` PEs.
 #[derive(Debug)]
@@ -20,18 +55,16 @@ pub struct ColumnParallelPlan {
     /// Assembled output at each sample owner: `{local_batch × dim}`, with
     /// column chunk `p` at offset `p × (dim / n_pes)` of each vector.
     pub output: SymSlice<f32>,
-    /// One flag per (source, local sample).
-    chunk_rdy: SymFlags,
-    n_pes: usize,
-    global_batch: usize,
-    /// Full vector width.
-    dim: usize,
+    /// One single-chunk slice per (source, sample), each flagged on its
+    /// own.
+    engine: GenericFusedPlan,
+    chunks: ColumnChunks,
 }
 
 impl ColumnParallelPlan {
     /// Columns each PE owns.
     pub fn cols_per_pe(&self) -> usize {
-        self.dim / self.n_pes
+        self.chunks.dim()
     }
 
     /// Allocates buffers in `layout`.
@@ -46,17 +79,24 @@ impl ColumnParallelPlan {
     ) -> ColumnParallelPlan {
         assert_eq!(global_batch % n_pes, 0, "batch must divide among PEs");
         assert_eq!(dim % n_pes, 0, "dim must divide among PEs");
-        let local = global_batch / n_pes;
-        ColumnParallelPlan {
-            output: layout.alloc::<f32>(local * dim),
-            chunk_rdy: layout.alloc_flags(n_pes * local),
+        let chunks = ColumnChunks {
             n_pes,
             global_batch,
             dim,
+        };
+        let engine = GenericFusedPlan::plan(layout, n_pes, &chunks, 1);
+        ColumnParallelPlan {
+            output: engine.output,
+            engine,
+            chunks,
         }
     }
 
-    /// Executes the fused column-parallel pooling on the calling PE.
+    /// Executes the fused column-parallel pooling on the calling PE: my
+    /// columns of every sample — remote owners' samples first
+    /// (communication-aware), then my own — each chunk shipped into its
+    /// assembled position, then the wait for every source's chunks of my
+    /// samples.
     ///
     /// `column_shard` is this PE's `rows × (dim/n_pes)` slice of the
     /// table (column-major ownership, rows complete). `exec` is 1-based
@@ -70,36 +110,11 @@ impl ColumnParallelPlan {
         mode: PoolingMode,
         exec: u64,
     ) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
-        let cols = self.cols_per_pe();
-        assert_eq!(column_shard.dim(), cols, "column shard width");
-        let me = ctx.me();
-        let local = self.global_batch / self.n_pes;
-
-        // Pool my columns for every sample — remote owners' samples first
-        // (communication-aware), then my own — shipping each chunk
-        // directly into its assembled position.
-        let mut chunk = vec![0.0f32; cols];
-        let sample_order = (0..self.global_batch)
-            .filter(|s| s / local != me)
-            .chain((0..self.global_batch).filter(|s| s / local == me));
-        for sample in sample_order {
-            let owner = sample / local;
-            let ls = sample % local;
-            let bag = gen.bag(table, sample);
-            column_shard.pool_into(&bag, mode, &mut chunk);
-            ctx.put(self.output, ls * self.dim + me * cols, &chunk, owner);
-            ctx.fence();
-            ctx.flag_store(self.chunk_rdy, me * local + ls, exec, owner);
-        }
-
-        // Assembly barrier for my samples: every source's chunk landed.
-        for ls in 0..local {
-            for src in 0..self.n_pes {
-                ctx.wait_until(self.chunk_rdy, src * local + ls, |v| v >= exec);
-            }
-        }
+        assert_eq!(column_shard.dim(), self.cols_per_pe(), "column shard width");
+        let pool = |sample: usize, out: &mut [f32]| {
+            column_shard.pool_into(&gen.bag(table, sample), mode, out);
+        };
+        self.engine.execute_with(ctx, &self.chunks, pool, exec);
     }
 
     /// Splits a full table into this plan's column shards.

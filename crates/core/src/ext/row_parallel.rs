@@ -6,13 +6,45 @@
 //! pools the subset of a bag's rows it owns (a partial sum), and the
 //! partials reduce at the sample's owner. That reduction is another
 //! dependent collective, and it fuses exactly like the All-to-All: each
-//! PE PUTs a sample's partial the moment it is pooled, flags it, and the
-//! owner accumulates arrivals while later partials are still being
-//! computed.
+//! PE PUTs a sample's partial the moment it is pooled and flags it (a
+//! one-item slice on the slice engine), and the owner reduces the
+//! partials once they have all arrived.
 
 use fcc_dlrm::{BatchGenerator, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, SymSlice};
+
+use crate::op::generic::{FusedGeometry, GenericFusedPlan};
+
+/// The partial exchange as slice-engine items: PE `me`'s item `s` is its
+/// partial sum for sample `s`, bound for the sample's owner's
+/// `(local sample, source)` slot.
+#[derive(Debug)]
+struct Partials {
+    n_pes: usize,
+    global_batch: usize,
+    dim: usize,
+}
+
+impl FusedGeometry for Partials {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn num_items(&self, _me: usize) -> usize {
+        self.global_batch
+    }
+
+    fn output_len(&self) -> usize {
+        self.global_batch * self.dim
+    }
+
+    fn destination(&self, me: usize, sample: usize) -> (usize, usize) {
+        let local = self.global_batch / self.n_pes;
+        let slot = (sample % local) * self.n_pes + me;
+        (sample / local, slot * self.dim)
+    }
+}
 
 /// Plan for one row-sharded table over `n_pes` PEs.
 ///
@@ -20,16 +52,13 @@ use fcc_shmem::{PeCtx, SymFlags, SymSlice};
 /// power-law access skew; samples are sharded by batch position.
 #[derive(Debug)]
 pub struct RowParallelPlan {
-    /// Partial-sum staging at each sample owner:
-    /// `{local_batch × n_pes × dim}` — one slot per (sample, source).
-    partials: SymSlice<f32>,
+    /// Phase 1: partial sums land at each sample owner in the engine's
+    /// output, `{local_batch × n_pes × dim}` — one slot per (sample,
+    /// source), each its own flagged slice.
+    engine: GenericFusedPlan,
+    partials: Partials,
     /// Final pooled output at each owner: `{local_batch × dim}`.
     pub output: SymSlice<f32>,
-    /// One flag per (source, local sample).
-    partial_rdy: SymFlags,
-    n_pes: usize,
-    global_batch: usize,
-    dim: usize,
 }
 
 impl RowParallelPlan {
@@ -44,20 +73,21 @@ impl RowParallelPlan {
         dim: usize,
     ) -> RowParallelPlan {
         assert_eq!(global_batch % n_pes, 0, "batch must divide among PEs");
-        let local = global_batch / n_pes;
-        RowParallelPlan {
-            partials: layout.alloc::<f32>(local * n_pes * dim),
-            output: layout.alloc::<f32>(local * dim),
-            partial_rdy: layout.alloc_flags(n_pes * local),
+        let partials = Partials {
             n_pes,
             global_batch,
             dim,
+        };
+        RowParallelPlan {
+            engine: GenericFusedPlan::plan(layout, n_pes, &partials, 1),
+            output: layout.alloc::<f32>(global_batch / n_pes * dim),
+            partials,
         }
     }
 
     /// Rows of the full table owned by `pe` under cyclic sharding.
     pub fn owns_row(&self, pe: usize, row: u32) -> bool {
-        row as usize % self.n_pes == pe
+        row as usize % self.partials.n_pes == pe
     }
 
     /// Executes the fused row-parallel pooling on the calling PE.
@@ -73,21 +103,14 @@ impl RowParallelPlan {
         table: usize,
         exec: u64,
     ) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
-        assert_eq!(shard.dim(), self.dim, "shard width");
+        let Partials { n_pes, dim, .. } = self.partials;
+        assert_eq!(shard.dim(), dim, "shard width");
         let me = ctx.me();
-        let local = self.global_batch / self.n_pes;
 
-        // Phase 1: partial pooling + fused partial PUTs. Remote samples
-        // first (communication-aware), then own samples.
-        let mut partial = vec![0.0f32; self.dim];
-        let sample_order = (0..self.global_batch)
-            .filter(|s| s / local != me)
-            .chain((0..self.global_batch).filter(|s| s / local == me));
-        for sample in sample_order {
-            let owner = sample / local;
-            let ls = sample % local;
+        // Phase 1: partial pooling + fused partial PUTs, remote samples
+        // first (communication-aware), then the wait for every source's
+        // partials of my samples.
+        let pool = |sample: usize, out: &mut [f32]| {
             let bag = gen.bag(table, sample);
             let mine: Vec<u32> = bag
                 .iter()
@@ -96,35 +119,28 @@ impl RowParallelPlan {
                 .collect();
             // Partial SUM of owned rows (mean is applied by the owner,
             // which knows the full bag length).
-            shard.pool_into(&mine, PoolingMode::Sum, &mut partial);
-            ctx.put(
-                self.partials,
-                (ls * self.n_pes + me) * self.dim,
-                &partial,
-                owner,
-            );
-            ctx.fence();
-            ctx.flag_store(self.partial_rdy, me * local + ls, exec, owner);
-        }
+            shard.pool_into(&mine, PoolingMode::Sum, out);
+        };
+        self.engine.execute_with(ctx, &self.partials, pool, exec);
 
-        // Phase 2: accumulate arrivals for my samples (any source order).
-        let mut acc = vec![0.0f32; self.dim];
-        let mut incoming = vec![0.0f32; self.dim];
-        for ls in 0..local {
+        // Phase 2: reduce the arrived partials of each of my samples, in
+        // source order.
+        let mut acc = vec![0.0f32; dim];
+        let mut incoming = vec![0.0f32; dim];
+        for ls in 0..self.partials.global_batch / n_pes {
             acc.fill(0.0);
-            for src in 0..self.n_pes {
-                ctx.wait_until(self.partial_rdy, src * local + ls, |v| v >= exec);
+            for src in 0..n_pes {
                 ctx.get(
                     &mut incoming,
-                    self.partials,
-                    (ls * self.n_pes + src) * self.dim,
+                    self.engine.output,
+                    (ls * n_pes + src) * dim,
                     me,
                 );
                 for (a, v) in acc.iter_mut().zip(&incoming) {
                     *a += v;
                 }
             }
-            ctx.put(self.output, ls * self.dim, &acc, me);
+            ctx.put(self.output, ls * dim, &acc, me);
         }
     }
 }

@@ -15,11 +15,13 @@
 //! * [`progress`] — the `WG_Done` last-finisher election (bitmask ≤ 64
 //!   WGs, counter beyond), sequential flavour for the simulator, plus the
 //!   recovery policy/counters of the fault-tolerant path.
-//! * [`op`] — **functional** operators over the `fcc-shmem` runtime:
-//!   [`op::FusedPlan`] (staging + slice PUT + `sliceRdy` flags, with the
-//!   zero-copy store path for P2P peers) and [`op::ZeroCopyPlan`]
-//!   (all-P2P nodes, per-thread direct stores). Both are tested
-//!   bit-for-bit against the unfused `embedding → All-to-All` reference.
+//! * [`op`] — **functional** operators over the `fcc-shmem` runtime, all
+//!   on one slice engine, [`op::GenericFusedPlan`]: any
+//!   [`op::FusedProducer`] gets the staging + slice PUT + `sliceRdy`
+//!   protocol, with the zero-copy store path for P2P peers.
+//!   [`op::FusedPlan`] is the paper's embedding + All-to-All on it (on an
+//!   all-P2P node every vector is a direct store), tested bit-for-bit
+//!   against the unfused `embedding → All-to-All` reference.
 //!   [`op::ResilientFusedPlan`] adds timeout + bounded-retry recovery and
 //!   a degraded-mode fallback to the bulk All-to-All under injected
 //!   faults.
@@ -42,7 +44,7 @@ pub mod tune;
 
 pub use op::{
     ElasticFusedPlan, ElasticTrainer, FusedPlan, PeOutcome, ResilientFusedPlan, TrainerConfig,
-    TrainerReport, ZeroCopyPlan,
+    TrainerReport,
 };
 pub use progress::{RecoveryCounters, RecoveryPolicy, RecoverySnapshot};
 pub use schedule::steal::{StealArena, StealBug, StealMode, StealPolicy, StealStats};

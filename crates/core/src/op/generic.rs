@@ -1,30 +1,40 @@
-//! Generic fused computation-collective operator.
+//! The slice engine: the fused computation-collective protocol, once, for
+//! any producer.
 //!
-//! [`super::fused::FusedPlan`] hard-codes the paper's producer (embedding
-//! pooling) and routing (batch-shard All-to-All). The fusion recipe,
-//! though, only needs three things from a workload: *what* each logical
-//! workgroup computes, *where* its vector goes, and *how wide* vectors
-//! are. [`FusedProducer`] captures that contract, and
-//! [`GenericFusedPlan`] runs the full protocol — slice grouping,
-//! remote-first scheduling, `WG_Done` last-finisher election, staging +
-//! PUT + fence + `sliceRdy` for network peers, zero-copy stores for P2P
-//! peers — for any implementor. This is how a downstream user fuses a
-//! GEMM, a graph gather, or anything else with its dependent exchange
-//! (§3.5's generality, as an API instead of an example).
+//! The fusion recipe (§3.2–3.4) only needs three things from a workload:
+//! *what* each logical workgroup computes, *where* its vector goes, and
+//! *how wide* vectors are. [`FusedGeometry`] is the plan-time half of that
+//! contract (width, item count, destination); [`FusedProducer`] adds the
+//! execute-time half (compute one item). [`GenericFusedPlan`] runs the
+//! whole protocol for any of them — slice grouping, a caller-ordered
+//! work-stealing task loop, `WG_Done` last-finisher election, staging +
+//! PUT + fence + `sliceRdy` for network peers, direct stores for P2P
+//! peers, and the drain.
+//!
+//! It is the only copy of that protocol in the crate. The embedding
+//! operator [`FusedPlan`](super::FusedPlan) plans it from its
+//! [`SliceMap`](crate::SliceMap) and supplies its own priority order;
+//! [`ResilientFusedPlan`](super::ResilientFusedPlan) swaps in a network
+//! ship hook with retry and checksums; the column- and row-parallel
+//! embedding operators ([`crate::ext`]) are plain producers. A downstream
+//! user fuses a GEMM, a graph gather, or anything else with its dependent
+//! exchange the same way (§3.5's generality, as an API).
+
+use std::time::{Duration, Instant};
 
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, ShmemError, SymFlags, SymSlice};
 
 use crate::schedule::steal::{execute_stealing, StealArena, StealPolicy};
 use crate::scratch::ScratchPool;
 
-/// A workload that can be fused with its output exchange.
+/// The plan-time shape of a fused workload.
 ///
 /// Items are the logical workgroups: PE `me` computes items
 /// `0..num_items(me)`, each one `dim()`-wide vector whose destination
 /// (PE, element offset) is a pure function of `(me, item)`. Distinct items
 /// on the same source must map to disjoint destination ranges.
-pub trait FusedProducer: Sync {
+pub trait FusedGeometry: Sync {
     /// Output vector width (elements).
     fn dim(&self) -> usize;
     /// Logical work items computed by source PE `me`.
@@ -33,6 +43,11 @@ pub trait FusedProducer: Sync {
     fn output_len(&self) -> usize;
     /// Where item `(me, item)`'s vector lands: `(dst_pe, element offset)`.
     fn destination(&self, me: usize, item: usize) -> (usize, usize);
+}
+
+/// A workload that can be fused with its output exchange: its geometry
+/// plus the computation of one item.
+pub trait FusedProducer: FusedGeometry {
     /// Computes item `(me, item)` into `out` (`dim()` elements).
     fn produce(&self, me: usize, item: usize, out: &mut [f32]);
 }
@@ -40,10 +55,72 @@ pub trait FusedProducer: Sync {
 /// One slice of a PE's item range: consecutive items sharing a
 /// destination.
 #[derive(Debug, Clone, Copy)]
-struct GenericSlice {
-    first_item: usize,
-    len: usize,
-    dst: usize,
+pub(crate) struct GenericSlice {
+    pub(crate) first_item: usize,
+    pub(crate) len: usize,
+    pub(crate) dst: usize,
+}
+
+/// A network slice the moment its last WG finished: rows staged, nothing
+/// shipped yet. A ship hook moves the rows and publishes `sliceRdy`.
+pub(crate) struct Outgoing<'a> {
+    plan: &'a GenericFusedPlan,
+    geometry: &'a dyn FusedGeometry,
+    pub(crate) me: usize,
+    /// The slice's index in the source PE's slice table.
+    pub(crate) si: usize,
+    pub(crate) slice: GenericSlice,
+    pub(crate) exec: u64,
+    /// The staged payload, row `j` being item `slice.first_item + j`.
+    pub(crate) rows: &'a [f32],
+}
+
+impl Outgoing<'_> {
+    /// Destination element offset of row `j`.
+    pub(crate) fn row_offset(&self, j: usize) -> usize {
+        self.geometry
+            .destination(self.me, self.slice.first_item + j)
+            .1
+    }
+
+    /// One PUT per row, each at its own destination offset.
+    pub(crate) fn put_rows(&self, ctx: &PeCtx<'_>) {
+        for (j, row) in self.rows.chunks_exact(self.plan.dim).enumerate() {
+            ctx.put(self.plan.output, self.row_offset(j), row, self.slice.dst);
+        }
+    }
+
+    /// The slice's `sliceRdy` index at its destination.
+    pub(crate) fn rdy_index(&self) -> usize {
+        self.plan.rdy_index(self.me, self.si)
+    }
+
+    /// Stores `sliceRdy` at the destination (the caller fences first).
+    pub(crate) fn publish(&self, ctx: &PeCtx<'_>) {
+        ctx.flag_store(
+            self.plan.slice_rdy,
+            self.rdy_index(),
+            self.exec,
+            self.slice.dst,
+        );
+    }
+}
+
+/// The default network ship hook: rows, fence, `sliceRdy`.
+pub(crate) fn ship_rows(ctx: &PeCtx<'_>, out: &Outgoing<'_>) {
+    out.put_rows(ctx);
+    // Payload before flag: the fence orders the PUTs.
+    ctx.fence();
+    out.publish(ctx);
+}
+
+/// A slice some source publishes to the draining PE.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Incoming {
+    pub(crate) src: usize,
+    pub(crate) slice: GenericSlice,
+    /// Its `sliceRdy` index.
+    pub(crate) idx: usize,
 }
 
 /// The generic fused plan for one world size.
@@ -58,8 +135,11 @@ pub struct GenericFusedPlan {
     slices: Vec<Vec<GenericSlice>>,
     max_slices: usize,
     n_pes: usize,
-    /// `dim`-wide produce/ship workspaces, reused across executions.
+    dim: usize,
+    /// `dim`-wide produce workspaces, reused across executions.
     scratch: ScratchPool,
+    /// Slice-wide payload workspaces for elected last finishers.
+    payload_scratch: ScratchPool,
     /// How item-level tasks map onto persistent WGs at runtime.
     steal: StealPolicy,
     /// Pooled per-execution deque sets (allocation-free steady state).
@@ -67,7 +147,7 @@ pub struct GenericFusedPlan {
 }
 
 impl GenericFusedPlan {
-    /// Builds the slice tables from the producer's destination function
+    /// Builds the slice tables from the geometry's destination function
     /// and allocates buffers in `layout`.
     ///
     /// `items_per_slice` bounds slice width; slices also break wherever
@@ -75,41 +155,58 @@ impl GenericFusedPlan {
     pub fn plan(
         layout: &mut HeapLayout,
         n_pes: usize,
-        producer: &impl FusedProducer,
+        geometry: &impl FusedGeometry,
         items_per_slice: usize,
     ) -> GenericFusedPlan {
         assert!(items_per_slice >= 1);
-        let dim = producer.dim();
-        let mut slices = Vec::with_capacity(n_pes);
-        let mut max_items = 0usize;
-        for me in 0..n_pes {
-            let n = producer.num_items(me);
-            max_items = max_items.max(n);
-            let mut pe_slices: Vec<GenericSlice> = Vec::new();
-            for item in 0..n {
-                let (dst, _) = producer.destination(me, item);
-                assert!(dst < n_pes, "destination PE out of range");
-                match pe_slices.last_mut() {
-                    Some(s) if s.dst == dst && s.len < items_per_slice => s.len += 1,
-                    _ => pe_slices.push(GenericSlice {
-                        first_item: item,
-                        len: 1,
-                        dst,
-                    }),
+        let slices = (0..n_pes)
+            .map(|me| {
+                let mut pe_slices: Vec<GenericSlice> = Vec::new();
+                for item in 0..geometry.num_items(me) {
+                    let (dst, _) = geometry.destination(me, item);
+                    assert!(dst < n_pes, "destination PE out of range");
+                    match pe_slices.last_mut() {
+                        Some(s) if s.dst == dst && s.len < items_per_slice => s.len += 1,
+                        _ => pe_slices.push(GenericSlice {
+                            first_item: item,
+                            len: 1,
+                            dst,
+                        }),
+                    }
                 }
-            }
-            slices.push(pe_slices);
-        }
+                pe_slices
+            })
+            .collect();
+        Self::from_slices(layout, n_pes, geometry.dim(), geometry.output_len(), slices)
+    }
+
+    /// Allocates a plan over explicit per-PE slice tables (each one a
+    /// partition of that PE's items into contiguous runs).
+    pub(crate) fn from_slices(
+        layout: &mut HeapLayout,
+        n_pes: usize,
+        dim: usize,
+        output_len: usize,
+        slices: Vec<Vec<GenericSlice>>,
+    ) -> GenericFusedPlan {
+        let max_items = slices
+            .iter()
+            .filter_map(|pe| pe.last())
+            .map(|s| s.first_item + s.len)
+            .max()
+            .unwrap_or(0);
         let max_slices = slices.iter().map(Vec::len).max().unwrap_or(0);
         GenericFusedPlan {
-            output: layout.alloc::<f32>(producer.output_len()),
+            output: layout.alloc::<f32>(output_len),
             staging: layout.alloc::<f32>(max_items * dim),
             wg_done: layout.alloc_flags(max_slices.max(1)),
             slice_rdy: layout.alloc_flags(n_pes * max_slices.max(1)),
             slices,
             max_slices,
             n_pes,
+            dim,
             scratch: ScratchPool::new(),
+            payload_scratch: ScratchPool::new(),
             steal: StealPolicy::default(),
             steal_arena: StealArena::new(),
         }
@@ -126,80 +223,226 @@ impl GenericFusedPlan {
         self.steal = steal;
     }
 
+    /// The active work-stealing policy.
+    pub fn steal_policy(&self) -> StealPolicy {
+        self.steal
+    }
+
     /// Slices PE `me` will communicate (diagnostics).
     pub fn num_slices(&self, me: usize) -> usize {
         self.slices[me].len()
     }
 
-    /// Scratch-buffer allocations that missed the pool — zero growth
+    /// Scratch-buffer allocations that missed the pools — zero growth
     /// across executions means the steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
-        self.scratch.misses()
+        self.scratch.misses() + self.payload_scratch.misses()
     }
 
-    /// Executes the fused operator on the calling PE. `exec` is 1-based
-    /// and monotonic across plan reuses.
+    /// Deque sets built because the arena had no pooled fit; flat across
+    /// executions means stealing's steady state is allocation-free.
+    pub fn steal_misses(&self) -> u64 {
+        self.steal_arena.misses()
+    }
+
+    /// Pre-sizes the scratch pools for `concurrency` simultaneous workers
+    /// (across every PE sharing this plan) and pools one deque set per PE
+    /// thread, so even the first execution's hot path never allocates and
+    /// both miss counters stay exactly zero.
+    pub fn prewarm(&self, concurrency: usize) {
+        let max_len = self.slices.iter().flatten().map(|s| s.len).max();
+        self.scratch.reserve(concurrency, self.dim);
+        self.payload_scratch
+            .reserve(concurrency, max_len.unwrap_or(0) * self.dim);
+        // PEs with the same worker count share a deque shape; the largest
+        // capacity among them fits all.
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for pe in &self.slices {
+            let tasks: usize = pe.iter().map(|s| s.len).sum();
+            let workers = self.steal.effective_workers(tasks);
+            let cap = tasks / workers + 1;
+            match shapes.iter_mut().find(|s| s.0 == workers) {
+                Some(s) => (s.1, s.2) = (s.1.max(cap), s.2 + 1),
+                None => shapes.push((workers, cap, 1)),
+            }
+        }
+        for (workers, cap, holders) in shapes {
+            self.steal_arena.prewarm(workers, cap, holders);
+        }
+    }
+
+    /// Executes the fused operator on the calling PE: every item in
+    /// remote-first slice order, then the drain. `exec` is 1-based and
+    /// monotonic across plan reuses.
     pub fn execute(&self, ctx: &PeCtx<'_>, producer: &impl FusedProducer, exec: u64) {
+        let me = ctx.me();
+        self.execute_with(
+            ctx,
+            producer,
+            |item, out| producer.produce(me, item, out),
+            exec,
+        );
+    }
+
+    /// [`execute`](Self::execute) with the producer split into a geometry
+    /// and a per-call compute function `produce(item, out)` — how an
+    /// operator whose inputs arrive per call builds its producer.
+    pub(crate) fn execute_with(
+        &self,
+        ctx: &PeCtx<'_>,
+        geometry: &impl FusedGeometry,
+        produce: impl Fn(usize, &mut [f32]) + Sync,
+        exec: u64,
+    ) {
+        let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
+        let order = self.remote_first(ctx.me());
+        self.publish(ctx, geometry, produce, exec, order, ship_rows);
+        self.drain(ctx, exec, None)
+            .expect("an unbounded drain cannot time out");
+    }
+
+    /// PE `me`'s `(slice, item)` pairs, slices bound for other PEs first
+    /// (communication-aware), items in order within a slice.
+    fn remote_first(&self, me: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mine = &self.slices[me];
+        let mut order: Vec<usize> = (0..mine.len()).collect();
+        order.sort_by_key(|&si| mine[si].dst == me);
+        order
+            .into_iter()
+            .flat_map(move |si| (0..mine[si].len).map(move |k| (si, mine[si].first_item + k)))
+    }
+
+    /// `sliceRdy` index of source `src`'s slice `si` — also the slice
+    /// qualifier of its causal context, unique across the world.
+    pub(crate) fn rdy_index(&self, src: usize, si: usize) -> usize {
+        src * self.max_slices + si
+    }
+
+    /// The compute + publish phase on the calling PE.
+    ///
+    /// `order` lists this PE's `(slice, item)` pairs in priority order;
+    /// it seeds the work-stealing deques, so the order survives dynamic
+    /// scheduling. Each item's vector goes straight to its destination
+    /// when that is this PE or a P2P peer, else into staging. The slice's
+    /// unique last finisher (elected through `WG_Done`) publishes it:
+    /// fence + `sliceRdy` for direct slices, `ship` for network slices.
+    /// The caller installs the execution's causal root.
+    pub(crate) fn publish<G: FusedGeometry>(
+        &self,
+        ctx: &PeCtx<'_>,
+        geometry: &G,
+        produce: impl Fn(usize, &mut [f32]) + Sync,
+        exec: u64,
+        order: impl IntoIterator<Item = (usize, usize)>,
+        ship: impl Fn(&PeCtx<'_>, &Outgoing<'_>) + Sync,
+    ) {
         assert!(exec >= 1, "executions are 1-based");
         assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
         let me = ctx.me();
-        let dim = producer.dim();
-        let my_slices = &self.slices[me];
+        let dim = self.dim;
         let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
-
-        // Remote-first (communication-aware) execution order over slices,
-        // flattened to item-level tasks (`slice << 32 | item-in-slice`) so
-        // the work-stealing deques rebalance at the same granularity the
-        // old nested fan-out parallelized.
-        let mut order: Vec<usize> = (0..my_slices.len()).collect();
-        order.sort_by_key(|&s| my_slices[s].dst == me);
         let tasks: Vec<u64> = order
-            .iter()
-            .flat_map(|&si| (0..my_slices[si].len).map(move |k| ((si as u64) << 32) | k as u64))
+            .into_iter()
+            .map(|(si, item)| ((si as u64) << 32) | item as u64)
             .collect();
 
         execute_stealing(&self.steal_arena, &tasks, self.steal, |_worker, task| {
-            let (si, k) = ((task >> 32) as usize, (task & 0xffff_ffff) as usize);
-            let slice = my_slices[si];
-            let _ctx_guard =
-                fcc_shmem::scoped_ctx(root.with_slice((me * self.max_slices + si) as u64));
-            let item = slice.first_item + k;
+            let (si, item) = ((task >> 32) as usize, (task & 0xffff_ffff) as usize);
+            let slice = self.slices[me][si];
+            let idx = self.rdy_index(me, si);
+            // Workers are not the PE thread: re-seed the causal context,
+            // qualified with this slice's publication.
+            let _ctx_guard = fcc_shmem::scoped_ctx(root.with_slice(idx as u64));
+            let direct = slice.dst == me || ctx.is_p2p(slice.dst);
             let mut vec = self.scratch.take(dim);
-            producer.produce(me, item, &mut vec);
-            let (dst, off) = producer.destination(me, item);
-            if dst == me || ctx.is_p2p(dst) {
+            produce(item, &mut vec);
+            if direct {
+                // Zero-copy: store straight into the destination buffer
+                // (own buffer, or a peer's over xGMI).
+                let (dst, off) = geometry.destination(me, item);
+                debug_assert_eq!(dst, slice.dst);
                 ctx.put(self.output, off, &vec, dst);
             } else {
                 ctx.put(self.staging, item * dim, &vec, me);
             }
+
+            // WG_Done: count completions (AcqRel, so every WG's stores are
+            // visible to the elected last finisher). The counter is
+            // monotonic across executions, hence the `exec ×` target.
             let done = ctx.flag_fetch_add(self.wg_done, si, 1, me) + 1;
-            if done == exec * slice.len as u64 {
-                if dst != me && !ctx.is_p2p(dst) {
-                    // Ship each row to its (arbitrary) destination
-                    // offset.
-                    let mut row = self.scratch.take(dim);
-                    for j in 0..slice.len {
-                        let it = slice.first_item + j;
-                        ctx.get(&mut row, self.staging, it * dim, me);
-                        let (_, o) = producer.destination(me, it);
-                        ctx.put(self.output, o, &row, dst);
-                    }
-                }
+            if done != exec * slice.len as u64 {
+                return;
+            }
+            if direct {
                 ctx.fence();
-                let idx = me * self.max_slices + si;
                 ctx.flag_store(self.slice_rdy, idx, exec, slice.dst);
+            } else {
+                let mut rows = self.payload_scratch.take(slice.len * dim);
+                ctx.get(&mut rows, self.staging, slice.first_item * dim, me);
+                let out = Outgoing {
+                    plan: self,
+                    geometry,
+                    me,
+                    si,
+                    slice,
+                    exec,
+                    rows: &rows,
+                };
+                ship(ctx, &out);
             }
         });
+    }
 
-        // Drain: wait for every slice destined to me, from every source.
-        for src in 0..self.n_pes {
-            for (si, slice) in self.slices[src].iter().enumerate() {
-                if slice.dst == me {
-                    ctx.wait_until(self.slice_rdy, src * self.max_slices + si, |v| v >= exec);
-                }
+    /// Every slice destined to `me`, in `(source, slice)` order.
+    pub(crate) fn incoming(&self, me: usize) -> impl Iterator<Item = Incoming> + '_ {
+        (0..self.n_pes).flat_map(move |src| {
+            self.slices[src]
+                .iter()
+                .enumerate()
+                .filter(move |(_, s)| s.dst == me)
+                .map(move |(si, &slice)| Incoming {
+                    src,
+                    slice,
+                    idx: self.rdy_index(src, si),
+                })
+        })
+    }
+
+    /// Waits for every slice destined to the calling PE.
+    ///
+    /// With a `(start, budget)` deadline each wait gets whatever budget is
+    /// left. After the first miss the drain finishes with unbounded waits
+    /// — the writers are still live, so correctness is never at stake,
+    /// only the latency report — and returns the miss.
+    pub(crate) fn drain(
+        &self,
+        ctx: &PeCtx<'_>,
+        exec: u64,
+        deadline: Option<(Instant, Duration)>,
+    ) -> Result<(), ShmemError> {
+        let mut missed = None;
+        for inc in self.incoming(ctx.me()) {
+            if let (None, Some((start, budget))) = (&missed, deadline) {
+                let remaining = budget.saturating_sub(start.elapsed());
+                missed = ctx
+                    .wait_until_timeout(self.slice_rdy, inc.idx, remaining, |v| v >= exec)
+                    .err();
+            }
+            if deadline.is_none() || missed.is_some() {
+                ctx.wait_until(self.slice_rdy, inc.idx, |v| v >= exec);
             }
         }
+        missed.map_or(Ok(()), Err)
+    }
+
+    /// The `sliceRdy` flags (for drains with their own wait policy).
+    pub(crate) fn slice_rdy(&self) -> SymFlags {
+        self.slice_rdy
+    }
+
+    /// The slice-payload pool, shared with ship hooks and drains.
+    pub(crate) fn payload_scratch(&self) -> &ScratchPool {
+        &self.payload_scratch
     }
 }
 
@@ -208,16 +451,17 @@ mod tests {
     use super::*;
     use fcc_shmem::ShmemWorld;
 
-    /// Producer 1: a plain all-to-all — item `i` of PE `me` is a constant
-    /// vector destined to PE `i % n`, landing at a block indexed by
-    /// source.
+    /// Producer 1: an all-to-all — item `i` of PE `me` is a constant
+    /// vector destined to PE `i / items_per_dst`, landing in a block
+    /// indexed by source at a permuted slot, so a multi-item slice's rows
+    /// are neither contiguous nor evenly strided at the destination.
     struct ExchangeProducer {
         n_pes: usize,
         items_per_dst: usize,
         dim: usize,
     }
 
-    impl FusedProducer for ExchangeProducer {
+    impl FusedGeometry for ExchangeProducer {
         fn dim(&self) -> usize {
             self.dim
         }
@@ -228,10 +472,14 @@ mod tests {
             self.n_pes * self.items_per_dst * self.dim
         }
         fn destination(&self, me: usize, item: usize) -> (usize, usize) {
-            let dst = item / self.items_per_dst;
-            let slot = item % self.items_per_dst;
+            let (dst, slot) = (item / self.items_per_dst, item % self.items_per_dst);
+            // 7 is coprime to every run length used here: a permutation.
+            let slot = (slot * 7 + 3) % self.items_per_dst;
             (dst, (me * self.items_per_dst + slot) * self.dim)
         }
+    }
+
+    impl FusedProducer for ExchangeProducer {
         fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
             for (k, o) in out.iter_mut().enumerate() {
                 *o = (me * 10_000 + item * 100 + k) as f32;
@@ -257,7 +505,7 @@ mod tests {
         }
     }
 
-    impl FusedProducer for GemmProducer {
+    impl FusedGeometry for GemmProducer {
         fn dim(&self) -> usize {
             1 // each item is one output scalar-row (dim 1 keeps the oracle tiny)
         }
@@ -271,10 +519,35 @@ mod tests {
             // Row (me, item) goes to PE item % n, at offset by source/row.
             (item % self.n_pes, me * self.rows_per_pe + item)
         }
+    }
+
+    impl FusedProducer for GemmProducer {
         fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
             out[0] = (0..self.in_dim)
                 .map(|c| self.weight(me, item, c) * self.x(c))
                 .sum();
+        }
+    }
+
+    /// Bit-compares every destination against direct production.
+    fn assert_exact(
+        world: &mut ShmemWorld,
+        plan: &GenericFusedPlan,
+        producer: &impl FusedProducer,
+    ) {
+        let n = world.n_pes();
+        for src in 0..n {
+            for item in 0..producer.num_items(src) {
+                let (dst, off) = producer.destination(src, item);
+                let mut want = vec![0.0f32; producer.dim()];
+                producer.produce(src, item, &mut want);
+                let got = world.read(dst, plan.output);
+                assert_eq!(
+                    &got[off..off + want.len()],
+                    want.as_slice(),
+                    "src {src} item {item}"
+                );
+            }
         }
     }
 
@@ -290,20 +563,7 @@ mod tests {
         let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 2);
         let mut world = ShmemWorld::new(n, layout).with_p2p_groups((0..n as u32).collect());
         world.run(|ctx| plan.execute(ctx, &producer, 1));
-
-        for dst in 0..n {
-            let got = world.read(dst, plan.output);
-            // Expected: for each source and slot, the produced vector.
-            for src in 0..n {
-                for slot in 0..3 {
-                    let item = dst * 3 + slot;
-                    let mut want = vec![0.0f32; 5];
-                    producer.produce(src, item, &mut want);
-                    let off = (src * 3 + slot) * 5;
-                    assert_eq!(&got[off..off + 5], want.as_slice(), "dst {dst} src {src}");
-                }
-            }
-        }
+        assert_exact(&mut world, &plan, &producer);
     }
 
     #[test]
@@ -318,22 +578,25 @@ mod tests {
         let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 4);
         let mut world = ShmemWorld::new(n, layout).with_p2p_groups((0..n as u32).collect());
         world.run(|ctx| plan.execute(ctx, &producer, 1));
-        for dst in 0..n {
-            let got = world.read(dst, plan.output);
-            for src in 0..n {
-                for row in 0..6 {
-                    let (d, off) = producer.destination(src, row);
-                    if d != dst {
-                        continue;
-                    }
-                    let mut want = [0.0f32];
-                    producer.produce(src, row, &mut want);
-                    assert!(
-                        (got[off] - want[0]).abs() < 1e-5,
-                        "dst {dst} src {src} row {row}"
-                    );
-                }
-            }
+        assert_exact(&mut world, &plan, &producer);
+    }
+
+    #[test]
+    fn multi_row_network_slices_land_at_non_affine_offsets() {
+        let n = 3;
+        let producer = ExchangeProducer {
+            n_pes: n,
+            items_per_dst: 6,
+            dim: 3,
+        };
+        let mut layout = HeapLayout::new();
+        // Four-item slices over six-item destination runs: 4 + 2 rows.
+        let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 4);
+        assert_eq!(plan.num_slices(0), 2 * n);
+        let mut world = ShmemWorld::new(n, layout).with_p2p_groups((0..n as u32).collect());
+        for exec in 1..=2 {
+            world.run(|ctx| plan.execute(ctx, &producer, exec));
+            assert_exact(&mut world, &plan, &producer);
         }
     }
 
@@ -349,10 +612,7 @@ mod tests {
         let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 4);
         let mut world = ShmemWorld::new(n, layout); // all P2P: zero-copy path
         world.run(|ctx| plan.execute(ctx, &producer, 1));
-        let got = world.read(0, plan.output);
-        let mut want = vec![0.0f32; 3];
-        producer.produce(1, 0, &mut want);
-        assert_eq!(&got[4 * 3..5 * 3], want.as_slice());
+        assert_exact(&mut world, &plan, &producer);
     }
 
     #[test]
@@ -369,22 +629,21 @@ mod tests {
     }
 
     #[test]
-    fn reusable_across_runs() {
+    fn prewarmed_plan_never_misses_its_pools() {
         let n = 2;
         let producer = ExchangeProducer {
             n_pes: n,
-            items_per_dst: 2,
-            dim: 2,
+            items_per_dst: 6,
+            dim: 3,
         };
         let mut layout = HeapLayout::new();
-        let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 2);
-        let mut world = ShmemWorld::new(n, layout).with_p2p_groups((0..n as u32).collect());
-        for exec in 1..=3 {
+        let plan = GenericFusedPlan::plan(&mut layout, n, &producer, 4);
+        plan.prewarm(n * 8);
+        let world = ShmemWorld::new(n, layout).with_p2p_groups((0..n as u32).collect());
+        for exec in 1..=4 {
             world.run(|ctx| plan.execute(ctx, &producer, exec));
-            let got = world.read(1, plan.output);
-            let mut want = vec![0.0f32; 2];
-            producer.produce(0, 2, &mut want);
-            assert_eq!(&got[..2], want.as_slice(), "exec {exec}");
         }
+        assert_eq!(plan.scratch_misses(), 0, "prewarmed scratch pools missed");
+        assert_eq!(plan.steal_misses(), 0, "prewarmed steal arena missed");
     }
 }

@@ -8,7 +8,6 @@ pub mod generic;
 pub mod recovery;
 pub mod reference;
 pub mod resilient;
-pub mod zerocopy;
 
 /// The causal root an operator execution runs under: the ambient context
 /// when a boundary (serving loop, trainer) already minted one, otherwise
@@ -26,7 +25,6 @@ pub(crate) fn ctx_root(exec: u64) -> TraceCtx {
 
 pub use elastic::{ElasticFusedPlan, SliceJob};
 pub use fused::FusedPlan;
-pub use generic::{FusedProducer, GenericFusedPlan};
+pub use generic::{FusedGeometry, FusedProducer, GenericFusedPlan};
 pub use recovery::{ElasticTrainer, PeOutcome, TrainerConfig, TrainerReport};
 pub use resilient::ResilientFusedPlan;
-pub use zerocopy::ZeroCopyPlan;

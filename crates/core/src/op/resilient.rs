@@ -38,9 +38,10 @@ use fcc_shmem::{checksum, FlightKind, PeCtx, ShmemError, SymFlags, SymSlice};
 use fcc_sim::SimTime;
 
 use crate::op::fused::FusedPlan;
+use crate::op::generic::{FusedGeometry, Incoming, Outgoing};
 use crate::progress::{RecoveryCounters, RecoveryPolicy};
-use crate::schedule::{self, ScheduleKind};
-use crate::slice::SliceInfo;
+use crate::schedule::ScheduleKind;
+use crate::scratch::ScratchPool;
 
 fn to_duration(t: SimTime) -> Duration {
     Duration::from_nanos(t.as_nanos())
@@ -91,7 +92,7 @@ impl ResilientFusedPlan {
     ) -> ResilientFusedPlan {
         let inner = FusedPlan::plan(layout, cfg, slice_embeddings);
         let per_pair = cfg.local_batch() * cfg.tables_per_pe * cfg.dim;
-        let slice_sum = layout.alloc_flags(cfg.n_pes * inner.map.num_slices());
+        let slice_sum = layout.alloc_flags(cfg.n_pes * inner.map().num_slices());
         ResilientFusedPlan {
             inner,
             slice_sum,
@@ -100,11 +101,6 @@ impl ResilientFusedPlan {
             fallback: AllToAllPlan::plan(layout, cfg.n_pes, per_pair),
             policy,
         }
-    }
-
-    /// The wrapped fault-oblivious plan.
-    pub fn inner(&self) -> &FusedPlan {
-        &self.inner
     }
 
     /// The output buffer handle (same layout as [`FusedPlan::output`]).
@@ -134,7 +130,7 @@ impl ResilientFusedPlan {
     /// fallback's gather buffers (the full `n_pes × per-pair` exchange),
     /// so even a faulted run stays allocation-free after prewarming.
     pub fn prewarm(&self, concurrency: usize) {
-        let cfg = &self.inner.cfg;
+        let cfg = self.inner.config();
         // A PE thread on the degraded path holds up to two gather buffers
         // itself, outside any rayon region — while other PEs' workers may
         // still hold theirs — so the holder bound is `concurrency` plus
@@ -145,9 +141,13 @@ impl ResilientFusedPlan {
         let holders = 2 * concurrency + 3 * cfg.n_pes;
         self.inner.prewarm(holders);
         let per_pair = cfg.local_batch() * cfg.tables_per_pe * cfg.dim;
-        self.inner
-            .payload_scratch
-            .reserve(holders, cfg.n_pes * per_pair);
+        self.scratch().reserve(holders, cfg.n_pes * per_pair);
+    }
+
+    /// The engine's slice-payload pool, which the ship hook, the verify
+    /// pass and the fallback share.
+    fn scratch(&self) -> &ScratchPool {
+        self.inner.engine().payload_scratch()
     }
 
     /// Marks execution `exec` degraded on every PE. Racing writers all
@@ -165,10 +165,24 @@ impl ResilientFusedPlan {
         }
     }
 
-    /// Ships one staged slice under the fault plan: deliver, deliver
-    /// late, or lose-and-retry with exponential backoff. On exhausting
-    /// `max_retries` the execution is marked degraded instead of
-    /// delivering.
+    /// A receiver's verdict after a failed `attempt`: true when someone
+    /// already called the run degraded, or when this PE's retry budget is
+    /// spent (it then calls it).
+    fn gives_up(&self, ctx: &PeCtx<'_>, exec: u64, attempt: u32) -> bool {
+        if ctx.flag_load(self.degraded, 0, ctx.me()) >= exec {
+            return true;
+        }
+        let spent = attempt >= self.policy.max_retries;
+        if spent {
+            self.mark_degraded(ctx, exec);
+        }
+        spent
+    }
+
+    /// The network ship hook: ships one staged slice under the fault
+    /// plan — deliver, deliver late, or lose-and-retry with exponential
+    /// backoff. On exhausting `max_retries` the execution is marked
+    /// degraded instead of delivering.
     ///
     /// A `Delay` blocks the *sender* before the PUT (the wire holding the
     /// message), so every delivery still happens-before the sender's
@@ -176,12 +190,11 @@ impl ResilientFusedPlan {
     fn send_slice(
         &self,
         ctx: &PeCtx<'_>,
-        info: &SliceInfo,
-        exec: u64,
+        out: &Outgoing<'_>,
         faults: &FaultPlan,
         counters: &RecoveryCounters,
     ) {
-        let me = ctx.me() as u32;
+        let (me, dst, exec) = (out.me as u32, out.slice.dst as u32, out.exec);
         // Fail-stop: the GPU-initiated path is dead, nothing we post
         // leaves this PE. Give up immediately rather than burning the
         // retry budget per slice.
@@ -189,29 +202,10 @@ impl ResilientFusedPlan {
             self.mark_degraded(ctx, exec);
             return;
         }
-        let dim = self.inner.cfg.dim;
-        let dst = info.dst_pe as usize;
-        let num_slices = self.inner.map.num_slices() as u64;
-
-        // Stage the slice payload, as the fault-oblivious path does.
-        let first_wg = self.inner.map.encode_wg(info.table, info.sample_start);
-        let mut payload = self.inner.payload_scratch.take(info.len as usize * dim);
-        ctx.get(
-            &mut payload,
-            self.inner.staging,
-            first_wg as usize * dim,
-            me as usize,
-        );
-        let (_, first_off) = self
-            .inner
-            .map
-            .dst_offset(me, info.table, info.sample_start, dim);
-        let total_tables = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe;
-        let flag_idx = (me as u64 * num_slices + info.id as u64) as usize;
         // The fused slice checksum, accumulated from the staged payload
         // the compute pass produced — whatever the wire later does to the
         // bytes, this is the sum of what the sender *meant* to ship.
-        let sum = checksum(f32_bytes(&payload));
+        let sum = checksum(f32_bytes(out.rows));
 
         // A straggler PE is slow on every send.
         let straggle = faults.straggle(me);
@@ -221,31 +215,17 @@ impl ResilientFusedPlan {
 
         let mut attempt: u32 = 0;
         loop {
-            match faults.decide(me, info.dst_pe, info.id as u64, exec, attempt) {
-                FaultAction::Drop => {
-                    if attempt >= self.policy.max_retries {
-                        self.mark_degraded(ctx, exec);
-                        return;
-                    }
-                    counters.record_retry();
-                    ctx.flight().record(
-                        FlightKind::Retry,
-                        fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
-                        attempt as u64,
-                    );
-                    std::thread::sleep(self.policy.backoff(attempt));
-                    attempt += 1;
-                }
+            match faults.decide(me, dst, out.si as u64, exec, attempt) {
+                FaultAction::Drop => {}
                 FaultAction::Corrupt(ev) => {
                     counters.record_corruption();
                     ctx.flight().record(
                         FlightKind::Corruption,
                         fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
+                        ((me as u64) << 32) | dst as u64,
                         exec,
                     );
-                    self.send_corrupted(ctx, info, exec, &payload, first_off, flag_idx, sum, ev);
+                    self.send_corrupted(ctx, out, sum, ev);
                     if !ctx.integrity_enabled() {
                         // No wire checksum, no fused verify: nothing
                         // downstream can tell, so no NAK ever reaches this
@@ -256,19 +236,6 @@ impl ResilientFusedPlan {
                     // verify) rejects the transmission; go back and
                     // re-send the whole slice clean, like any NAK'd
                     // reliable stream — bounded like a drop.
-                    if attempt >= self.policy.max_retries {
-                        self.mark_degraded(ctx, exec);
-                        return;
-                    }
-                    counters.record_retry();
-                    ctx.flight().record(
-                        FlightKind::Retry,
-                        fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
-                        attempt as u64,
-                    );
-                    std::thread::sleep(self.policy.backoff(attempt));
-                    attempt += 1;
                 }
                 action => {
                     if let FaultAction::Delay(by) = action {
@@ -279,51 +246,51 @@ impl ResilientFusedPlan {
                     // write of identical bytes is invisible to the
                     // functional layer (the timed layer charges its wire
                     // cost instead).
-                    ctx.put_strided(
-                        self.inner.output,
-                        first_off,
-                        total_tables * dim,
-                        &payload,
-                        dim,
-                        dst,
-                    );
-                    ctx.fence();
-                    // The fused checksum rides the rdy edge: stored after
-                    // the payload fence, before the Release on `sliceRdy`
-                    // that publishes both to the Acquiring receiver.
-                    ctx.flag_store(self.slice_sum, flag_idx, sum, dst);
-                    ctx.flag_store(self.inner.slice_rdy, flag_idx, exec, dst);
+                    out.put_rows(ctx);
+                    self.publish_with_sum(ctx, out, sum);
                     return;
                 }
             }
+            // The attempt was lost: back off and retry, or give up.
+            if attempt >= self.policy.max_retries {
+                self.mark_degraded(ctx, exec);
+                return;
+            }
+            counters.record_retry();
+            ctx.flight().record(
+                FlightKind::Retry,
+                fcc_shmem::current_ctx(),
+                ((me as u64) << 32) | dst as u64,
+                attempt as u64,
+            );
+            std::thread::sleep(self.policy.backoff(attempt));
+            attempt += 1;
         }
     }
 
-    /// Ships `payload` with `ev` applied to its wire image, row by row —
-    /// each row is one ring message carrying its own wire checksum, so a
-    /// wire-detectable kind presents corrupt bytes beside the checksum of
-    /// the intended row (the pop quarantines it, the link-CRC analogue),
-    /// while a self-consistent kind carries the checksum of the corrupt
-    /// bytes themselves and sails through to the fused verify. A torn put
-    /// loses its trailing rows outright. The *intended* slice checksum is
-    /// still published beside `sliceRdy`: the sender accumulated it
-    /// during compute, before the wire touched the bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn send_corrupted(
-        &self,
-        ctx: &PeCtx<'_>,
-        info: &SliceInfo,
-        exec: u64,
-        payload: &[f32],
-        first_off: usize,
-        flag_idx: usize,
-        sum: u64,
-        ev: CorruptEvent,
-    ) {
-        let dim = self.inner.cfg.dim;
-        let dst = info.dst_pe as usize;
-        let stride = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe * dim;
-        let mut dirty = self.inner.payload_scratch.take(payload.len());
+    /// Fences the slice's rows, then stores the fused checksum and
+    /// `sliceRdy`: the checksum rides the rdy edge, stored after the
+    /// payload fence and before the Release on `sliceRdy` that publishes
+    /// both to the Acquiring receiver.
+    fn publish_with_sum(&self, ctx: &PeCtx<'_>, out: &Outgoing<'_>, sum: u64) {
+        ctx.fence();
+        ctx.flag_store(self.slice_sum, out.rdy_index(), sum, out.slice.dst);
+        out.publish(ctx);
+    }
+
+    /// Ships the staged rows with `ev` applied to their wire image, row by
+    /// row — each row is one ring message carrying its own wire checksum,
+    /// so a wire-detectable kind presents corrupt bytes beside the
+    /// checksum of the intended row (the pop quarantines it, the link-CRC
+    /// analogue), while a self-consistent kind carries the checksum of the
+    /// corrupt bytes themselves and sails through to the fused verify. A
+    /// torn put loses its trailing rows outright. The *intended* slice
+    /// checksum is still published beside `sliceRdy`: the sender
+    /// accumulated it during compute, before the wire touched the bytes.
+    fn send_corrupted(&self, ctx: &PeCtx<'_>, out: &Outgoing<'_>, sum: u64, ev: CorruptEvent) {
+        let dim = self.inner.config().dim;
+        let payload = out.rows;
+        let mut dirty = self.scratch().take(payload.len());
         dirty.copy_from_slice(payload);
         let byte_len = std::mem::size_of_val(payload);
         // SAFETY: dirty is a live &mut [f32]; every byte pattern is a
@@ -332,7 +299,7 @@ impl ResilientFusedPlan {
             std::slice::from_raw_parts_mut(dirty.as_mut_ptr() as *mut u8, byte_len)
         });
         let row_bytes = dim * std::mem::size_of::<f32>();
-        for row in 0..info.len as usize {
+        for row in 0..out.slice.len {
             let start = row * row_bytes;
             if start >= delivered {
                 break; // torn off the wire: trailing rows were never sent
@@ -351,19 +318,16 @@ impl ResilientFusedPlan {
             };
             ctx.put_claiming(
                 self.inner.output,
-                first_off + row * stride,
+                out.row_offset(row),
                 sent,
-                dst,
+                out.slice.dst,
                 claimed,
             );
         }
-        ctx.fence();
-        // Same publication order as the clean path: sum after the fence,
-        // before the rdy Release. The *intended* sum is published even
-        // though the wire image was corrupted — exactly what a sender
-        // unaware of the in-flight fault would do.
-        ctx.flag_store(self.slice_sum, flag_idx, sum, dst);
-        ctx.flag_store(self.inner.slice_rdy, flag_idx, exec, dst);
+        // Same publication as the clean path. The *intended* sum is
+        // published even though the wire image was corrupted — exactly
+        // what a sender unaware of the in-flight fault would do.
+        self.publish_with_sum(ctx, out, sum);
     }
 
     /// Recomputes the fused checksum over the rows `src`'s slice landed
@@ -375,33 +339,21 @@ impl ResilientFusedPlan {
     fn verify_slice(
         &self,
         ctx: &PeCtx<'_>,
-        src: u32,
-        info: &SliceInfo,
-        idx: usize,
+        inc: &Incoming,
         exec: u64,
         counters: &RecoveryCounters,
     ) -> bool {
         let me = ctx.me();
-        let dim = self.inner.cfg.dim;
-        let stride = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe * dim;
-        let (_, first_off) = self
-            .inner
-            .map
-            .dst_offset(src, info.table, info.sample_start, dim);
-        let rows = info.len as usize;
-        let mut landed = self.inner.payload_scratch.take(rows * dim);
+        let dim = self.inner.config().dim;
+        let mut landed = self.scratch().take(inc.slice.len * dim);
         let mut attempt: u32 = 0;
         let mut detected = false;
         loop {
-            for row in 0..rows {
-                ctx.get(
-                    &mut landed[row * dim..][..dim],
-                    self.inner.output,
-                    first_off + row * stride,
-                    me,
-                );
+            for (j, row) in landed.chunks_exact_mut(dim).enumerate() {
+                let (_, off) = self.inner.destination(inc.src, inc.slice.first_item + j);
+                ctx.get(row, self.inner.output, off, me);
             }
-            let want = ctx.flag_load(self.slice_sum, idx, me);
+            let want = ctx.flag_load(self.slice_sum, inc.idx, me);
             if checksum(f32_bytes(&landed)) == want {
                 if detected {
                     counters.record_corrupt_repaired();
@@ -416,17 +368,12 @@ impl ResilientFusedPlan {
                 ctx.flight().record(
                     FlightKind::Corruption,
                     fcc_shmem::current_ctx(),
-                    src as u64,
+                    inc.src as u64,
                     exec,
                 );
             }
-            // Someone else may already have called the run degraded; the
-            // fallback rebuilds this slice anyway.
-            if ctx.flag_load(self.degraded, 0, me) >= exec {
-                return false;
-            }
-            if attempt >= self.policy.max_retries {
-                self.mark_degraded(ctx, exec);
+            // The fallback rebuilds this slice if the run degrades.
+            if self.gives_up(ctx, exec, attempt) {
                 return false;
             }
             std::thread::sleep(self.policy.backoff(attempt));
@@ -447,7 +394,7 @@ impl ResilientFusedPlan {
         round: u64,
     ) {
         let me = ctx.me();
-        let cfg = &self.inner.cfg;
+        let cfg = self.inner.config();
         let (dim, tpp) = (cfg.dim, cfg.tables_per_pe);
         let local_batch = cfg.local_batch();
         let per_pair = local_batch * tpp * dim;
@@ -455,7 +402,7 @@ impl ResilientFusedPlan {
         // Stage my send buffer: chunk `p` holds the pooled vectors for
         // `p`'s batch shard, laid out `[sample][local table][dim]`. Pooling
         // lands directly in the chunk — no per-vector staging.
-        let mut chunk = self.inner.payload_scratch.take(per_pair);
+        let mut chunk = self.scratch().take(per_pair);
         for p in 0..ctx.n_pes() {
             for si in 0..local_batch {
                 let sample = p * local_batch + si;
@@ -471,7 +418,7 @@ impl ResilientFusedPlan {
 
         // Scatter received chunks into the destination layout: source
         // `s`'s local table `lt` is global table `s × tpp + lt`.
-        let mut recv = self.inner.payload_scratch.take(ctx.n_pes() * per_pair);
+        let mut recv = self.scratch().take(ctx.n_pes() * per_pair);
         ctx.get(&mut recv, self.fallback.dst, 0, me);
         let total_tables = ctx.n_pes() * tpp;
         for src in 0..ctx.n_pes() {
@@ -507,78 +454,24 @@ impl ResilientFusedPlan {
         faults: &FaultPlan,
         counters: &RecoveryCounters,
     ) -> bool {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(
-            ctx.n_pes(),
-            self.inner.cfg.n_pes,
-            "plan/world size mismatch"
-        );
-        assert_eq!(
-            local_tables.len(),
-            self.inner.cfg.tables_per_pe,
-            "PE must hold its table shard"
-        );
-        let me = ctx.me() as u32;
-        let dim = self.inner.cfg.dim;
-        let num_slices = self.inner.map.num_slices() as u64;
-        let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
+        let me = ctx.me();
+        let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
 
         // A crashed PE knows its sends cannot arrive: declare degradation
         // up front so peers' drain phases abort after one timeout instead
         // of exhausting their full retry budgets.
-        if faults.is_crashed(me, exec) {
+        if faults.is_crashed(me as u32, exec) {
             self.mark_degraded(ctx, exec);
         }
 
-        let order = schedule::order(&self.inner.map, me, kind);
-
-        // Identical to the fault-oblivious task loop, except the elected
-        // last finisher routes network slices through the fault-aware
-        // retry path. Zero-copy stores (own shard, xGMI peers) are plain
-        // memory traffic — the fault model applies to the NIC only. The
-        // loop runs on the same work-stealing deques as the clean path
-        // (the policy and arena live on the inner plan).
-        let tasks: Vec<u64> = order.iter().map(|&wg| wg as u64).collect();
-        crate::schedule::steal::execute_stealing(
-            &self.inner.steal_arena,
-            &tasks,
-            self.inner.steal,
-            |_worker, task| {
-                let wg = task as u32;
-                let (lt, sample) = self.inner.map.decode_wg(wg);
-                let info = *self.inner.map.slice_of_wg(wg);
-                let dst = info.dst_pe as usize;
-                // Rayon workers don't inherit the PE thread's ambient context;
-                // re-install it slice-qualified inside every closure.
-                let _ctx_guard =
-                    fcc_shmem::scoped_ctx(root.with_slice(me as u64 * num_slices + info.id as u64));
-                let global_table = me as usize * self.inner.cfg.tables_per_pe + lt as usize;
-                let bag = gen.bag(global_table, sample as usize);
-                let mut pooled = self.inner.scratch.take(dim);
-                local_tables[lt as usize].pool_into(&bag, mode, &mut pooled);
-
-                if dst == me as usize || ctx.is_p2p(dst) {
-                    let (dst_pe, off) = self.inner.map.dst_offset(me, lt, sample, dim);
-                    debug_assert_eq!(dst_pe as usize, dst);
-                    ctx.put(self.inner.output, off, &pooled, dst);
-                } else {
-                    ctx.put(self.inner.staging, wg as usize * dim, &pooled, me as usize);
-                }
-
-                let done =
-                    ctx.flag_fetch_add(self.inner.wg_done, info.id as usize, 1, me as usize) + 1;
-                if done == exec * info.len as u64 {
-                    if dst != me as usize && !ctx.is_p2p(dst) {
-                        self.send_slice(ctx, &info, exec, faults, counters);
-                    } else {
-                        ctx.fence();
-                        let flag_idx = me as u64 * num_slices + info.id as u64;
-                        ctx.flag_store(self.inner.slice_rdy, flag_idx as usize, exec, dst);
-                    }
-                }
-            },
-        );
+        // The fault-oblivious task loop, except the elected last finisher
+        // routes network slices through the fault-aware retry path.
+        // Zero-copy stores (own shard, xGMI peers) are plain memory
+        // traffic — the fault model applies to the NIC only.
+        let ship =
+            |ctx: &PeCtx<'_>, out: &Outgoing<'_>| self.send_slice(ctx, out, faults, counters);
+        self.inner
+            .publish(ctx, local_tables, gen, mode, kind, exec, ship);
 
         // Drain with deadlines: wait, and on each timeout check whether
         // anyone has already called the run degraded before burning
@@ -588,62 +481,50 @@ impl ResilientFusedPlan {
         // here, and every network slice is re-verified against its fused
         // checksum before the drain accepts it.
         let abft = ctx.integrity_enabled();
-        'drain: for src in 0..self.inner.cfg.n_pes as u64 {
-            for info in self.inner.map.slices() {
-                if info.dst_pe != me {
-                    continue;
-                }
-                let network = src != me as u64 && !ctx.is_p2p(src as usize);
-                let idx = (src * num_slices + info.id as u64) as usize;
-                let mut attempt: u32 = 0;
-                loop {
-                    let wait = ctx.wait_until_timeout(
-                        self.inner.slice_rdy,
-                        idx,
-                        self.policy.slice_timeout,
-                        |v| v >= exec,
-                    );
-                    match wait {
-                        Ok(_) => {
-                            if abft
-                                && network
-                                && !self.verify_slice(ctx, src as u32, info, idx, exec, counters)
-                            {
-                                break 'drain;
-                            }
-                            break;
+        let engine = self.inner.engine();
+        'drain: for inc in engine.incoming(me) {
+            let network = inc.src != me && !ctx.is_p2p(inc.src);
+            let mut attempt: u32 = 0;
+            loop {
+                let wait = ctx.wait_until_timeout(
+                    engine.slice_rdy(),
+                    inc.idx,
+                    self.policy.slice_timeout,
+                    |v| v >= exec,
+                );
+                match wait {
+                    Ok(_) => {
+                        if abft && network && !self.verify_slice(ctx, &inc, exec, counters) {
+                            break 'drain;
                         }
-                        Err(ShmemError::Corruption { .. }) => {
-                            // The wire layer quarantined a delivery headed
-                            // here; the sender's clean go-back-N re-put is
-                            // already in flight, so consume the verdict
-                            // and re-poll without burning the retry budget
-                            // — each surfaced record is progress.
-                            counters.record_corrupt_detected();
-                            ctx.flight().record(
-                                FlightKind::Corruption,
-                                fcc_shmem::current_ctx(),
-                                src,
-                                exec,
-                            );
+                        break;
+                    }
+                    Err(ShmemError::Corruption { .. }) => {
+                        // The wire layer quarantined a delivery headed
+                        // here; the sender's clean go-back-N re-put is
+                        // already in flight, so consume the verdict and
+                        // re-poll without burning the retry budget — each
+                        // surfaced record is progress.
+                        counters.record_corrupt_detected();
+                        ctx.flight().record(
+                            FlightKind::Corruption,
+                            fcc_shmem::current_ctx(),
+                            inc.src as u64,
+                            exec,
+                        );
+                    }
+                    Err(_) => {
+                        counters.record_timeout();
+                        ctx.flight().record(
+                            FlightKind::Timeout,
+                            fcc_shmem::current_ctx(),
+                            ((inc.src as u64) << 32) | me as u64,
+                            attempt as u64,
+                        );
+                        if self.gives_up(ctx, exec, attempt) {
+                            break 'drain;
                         }
-                        Err(_) => {
-                            counters.record_timeout();
-                            ctx.flight().record(
-                                FlightKind::Timeout,
-                                fcc_shmem::current_ctx(),
-                                (src << 32) | me as u64,
-                                attempt as u64,
-                            );
-                            if ctx.flag_load(self.degraded, 0, ctx.me()) >= exec {
-                                break 'drain;
-                            }
-                            if attempt >= self.policy.max_retries {
-                                self.mark_degraded(ctx, exec);
-                                break 'drain;
-                            }
-                            attempt += 1;
-                        }
+                        attempt += 1;
                     }
                 }
             }
@@ -695,22 +576,12 @@ mod tests {
         cfg
     }
 
-    /// Runs `execs` executions under `faults`, asserting the output
-    /// matches the unfused reference after every one. Returns the
-    /// per-exec degradation verdicts and the final counter snapshot.
+    /// Runs `execs` executions under `faults`, with the wire-integrity
+    /// layer (the corruption ladder's configuration) when `integrity` is
+    /// set, asserting the output matches the unfused reference after
+    /// every one. Returns the per-exec degradation verdicts and the final
+    /// counter snapshot.
     fn run_resilient(
-        cfg: &DlrmConfig,
-        slice_embeddings: usize,
-        policy: RecoveryPolicy,
-        faults: &FaultPlan,
-        execs: u64,
-    ) -> (Vec<bool>, crate::progress::RecoverySnapshot) {
-        run_resilient_world(cfg, slice_embeddings, policy, faults, execs, false)
-    }
-
-    /// [`run_resilient`] with the wire-integrity layer optionally enabled
-    /// — the configuration the corruption ladder runs under.
-    fn run_resilient_world(
         cfg: &DlrmConfig,
         slice_embeddings: usize,
         policy: RecoveryPolicy,
@@ -765,7 +636,7 @@ mod tests {
     fn fault_free_run_matches_reference_with_zero_counters() {
         let cfg = tiny_cfg(2, 8, 2);
         let faults = FaultPlan::new(1);
-        let (verdicts, snap) = run_resilient(&cfg, 2, RecoveryPolicy::default(), &faults, 1);
+        let (verdicts, snap) = run_resilient(&cfg, 2, RecoveryPolicy::default(), &faults, 1, false);
         assert_eq!(verdicts, vec![false]);
         assert_eq!(snap, Default::default());
     }
@@ -775,7 +646,7 @@ mod tests {
         let cfg = tiny_cfg(2, 8, 2);
         let policy = RecoveryPolicy::default().with_backoff(Duration::from_micros(50), 2);
         let faults = FaultPlan::new(7).with_drop_rate(0.4);
-        let (_, snap) = run_resilient(&cfg, 2, policy, &faults, 1);
+        let (_, snap) = run_resilient(&cfg, 2, policy, &faults, 1, false);
         assert!(
             snap.retries > 0,
             "drops must force re-issued PUTs: {snap:?}"
@@ -787,7 +658,7 @@ mod tests {
         let cfg = tiny_cfg(2, 8, 2);
         let policy = RecoveryPolicy::default().with_slice_timeout(Duration::from_millis(5));
         let faults = FaultPlan::new(3).with_pe_crash(1, 1);
-        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1);
+        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1, false);
         assert_eq!(verdicts, vec![true]);
         // Both PEs fall back; the healthy PE's drain saw >= 1 deadline.
         assert_eq!(snap.fallbacks, 2);
@@ -801,7 +672,7 @@ mod tests {
             .with_slice_timeout(Duration::from_millis(2))
             .with_backoff(Duration::from_micros(20), 2);
         let faults = FaultPlan::new(11).with_drop_rate(1.0);
-        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1);
+        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1, false);
         assert_eq!(verdicts, vec![true]);
         assert!(snap.retries > 0, "senders retry before giving up: {snap:?}");
         assert_eq!(snap.fallbacks, 2);
@@ -811,7 +682,7 @@ mod tests {
     fn delayed_puts_deliver_without_degrading() {
         let cfg = tiny_cfg(2, 8, 2);
         let faults = FaultPlan::new(5).with_delay(1.0, SimTime::from_micros(50));
-        let (verdicts, snap) = run_resilient(&cfg, 2, RecoveryPolicy::default(), &faults, 1);
+        let (verdicts, snap) = run_resilient(&cfg, 2, RecoveryPolicy::default(), &faults, 1, false);
         assert_eq!(
             verdicts,
             vec![false],
@@ -829,7 +700,7 @@ mod tests {
         let cfg = tiny_cfg(2, 8, 1);
         let policy = RecoveryPolicy::default().with_slice_timeout(Duration::from_millis(5));
         let faults = FaultPlan::new(9).with_pe_crash(0, 2);
-        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 3);
+        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 3, false);
         // Exec 1 is healthy; execs 2 and 3 degrade (and the fallback's
         // monotonic round numbering survives the reuse).
         assert_eq!(verdicts, vec![false, true, true]);
@@ -840,8 +711,7 @@ mod tests {
     fn clean_run_with_integrity_has_zero_false_positives() {
         let cfg = tiny_cfg(2, 8, 2);
         let faults = FaultPlan::new(1);
-        let (verdicts, snap) =
-            run_resilient_world(&cfg, 2, RecoveryPolicy::default(), &faults, 2, true);
+        let (verdicts, snap) = run_resilient(&cfg, 2, RecoveryPolicy::default(), &faults, 2, true);
         assert_eq!(verdicts, vec![false, false]);
         assert_eq!(
             snap.corrupt_detected, 0,
@@ -856,7 +726,7 @@ mod tests {
         let cfg = tiny_cfg(2, 8, 2);
         let policy = RecoveryPolicy::default().with_backoff(Duration::from_micros(50), 2);
         let faults = FaultPlan::new(13).with_corrupt_only(0.5, fcc_net::CorruptKind::BitFlip);
-        let (_, snap) = run_resilient_world(&cfg, 2, policy, &faults, 2, true);
+        let (_, snap) = run_resilient(&cfg, 2, policy, &faults, 2, true);
         assert!(snap.corruptions > 0, "the plan must inject: {snap:?}");
         assert!(
             snap.corrupt_detected > 0,
@@ -871,7 +741,7 @@ mod tests {
         // Stale replays carry a matching wire checksum: only the fused
         // (ABFT) slice checksum can catch them.
         let faults = FaultPlan::new(17).with_corrupt_only(0.5, fcc_net::CorruptKind::StaleReplay);
-        let (_, snap) = run_resilient_world(&cfg, 2, policy, &faults, 2, true);
+        let (_, snap) = run_resilient(&cfg, 2, policy, &faults, 2, true);
         assert!(snap.corruptions > 0, "{snap:?}");
         assert!(
             snap.corrupt_detected > 0,
@@ -884,7 +754,7 @@ mod tests {
         let cfg = tiny_cfg(2, 8, 2);
         let policy = RecoveryPolicy::default().with_backoff(Duration::from_micros(50), 2);
         let faults = FaultPlan::new(19).with_corrupt_only(0.6, fcc_net::CorruptKind::Torn);
-        let (_, snap) = run_resilient_world(&cfg, 2, policy, &faults, 1, true);
+        let (_, snap) = run_resilient(&cfg, 2, policy, &faults, 1, true);
         assert!(snap.corruptions > 0, "{snap:?}");
         assert!(snap.corrupt_detected > 0, "{snap:?}");
     }
@@ -896,7 +766,7 @@ mod tests {
             .with_slice_timeout(Duration::from_millis(2))
             .with_backoff(Duration::from_micros(20), 2);
         let faults = FaultPlan::new(23).with_corrupt_only(1.0, fcc_net::CorruptKind::BitFlip);
-        let (verdicts, snap) = run_resilient_world(&cfg, 2, policy, &faults, 1, true);
+        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1, true);
         assert_eq!(verdicts, vec![true], "nothing clean ever lands: {snap:?}");
         assert_eq!(snap.fallbacks, 2);
         assert!(snap.corrupt_detected > 0, "{snap:?}");
@@ -951,7 +821,7 @@ mod tests {
         let cfg = tiny_cfg(4, 8, 1);
         let policy = RecoveryPolicy::default().with_slice_timeout(Duration::from_millis(5));
         let faults = FaultPlan::new(21).with_pe_crash(2, 1);
-        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1);
+        let (verdicts, snap) = run_resilient(&cfg, 2, policy, &faults, 1, false);
         assert_eq!(verdicts, vec![true]);
         assert_eq!(snap.fallbacks, 4);
     }

@@ -385,10 +385,13 @@ impl StealArena {
         }
     }
 
-    /// Builds a set up front so the first execution is already a hit.
-    pub fn prewarm(&self, workers: usize, cap: usize) {
+    /// Builds sets up front until `holders` pooled sets fit
+    /// `(workers, cap)`, so that many concurrent executions (one per PE
+    /// thread sharing a plan) are all hits from the first one on.
+    pub fn prewarm(&self, workers: usize, cap: usize, holders: usize) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if !pool.iter().any(|s| s.fits(workers, cap)) {
+        let fitting = pool.iter().filter(|s| s.fits(workers, cap)).count();
+        for _ in fitting..holders {
             pool.push(StealSet::new(workers, cap));
         }
     }
@@ -745,7 +748,7 @@ mod tests {
     #[test]
     fn prewarm_absorbs_the_first_miss() {
         let arena = StealArena::new();
-        arena.prewarm(4, 33);
+        arena.prewarm(4, 33, 1);
         let tasks: Vec<u64> = (0..128).collect();
         execute_stealing(
             &arena,
@@ -754,6 +757,20 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(arena.misses(), 0);
+    }
+
+    #[test]
+    fn prewarm_fills_the_pool_up_to_the_holder_count() {
+        let arena = StealArena::new();
+        arena.prewarm(2, 9, 2);
+        arena.prewarm(2, 9, 2); // already full: builds nothing more
+        assert_eq!(arena.idle(), 2);
+        // Two sets held at once, as two PE threads sharing a plan hold
+        // them: both takes must be hits.
+        let (a, b) = (arena.take(2, 9), arena.take(2, 9));
+        assert_eq!(arena.misses(), 0);
+        drop((a, b));
+        assert_eq!(arena.idle(), 2);
     }
 
     /// Owner pushes (and occasionally pops) live while thieves raid; every

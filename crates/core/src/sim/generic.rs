@@ -2,8 +2,8 @@
 //!
 //! Level-2 users of the library (see `docs/TUTORIAL.md`) implement
 //! `FusedProducer` once and get the functional operator for free; this
-//! module gives them the *pricing* side with the same contract plus one
-//! extra method — how many bytes each item moves through memory — so a
+//! module gives them the *pricing* side with its geometry half
+//! ([`FusedGeometry`]) plus one extra method — how many bytes each item moves through memory — so a
 //! design can be tuned on the simulator before it is built.
 
 use fcc_gpu::config::GpuConfig;
@@ -14,11 +14,11 @@ use fcc_net::Topology;
 use fcc_shmem::timed::TimedEndpoint;
 use fcc_sim::SimTime;
 
-use crate::op::generic::FusedProducer;
+use crate::op::generic::FusedGeometry;
 use crate::sim::FusedTuning;
 
 /// Cost annotations for a producer: how much work each item is.
-pub trait ProducerCost: FusedProducer {
+pub trait ProducerCost: FusedGeometry {
     /// HBM bytes item `(me, item)` moves (reads + writes) — the
     /// processor-sharing work unit.
     fn work_bytes(&self, me: usize, item: usize) -> f64;
@@ -154,7 +154,6 @@ pub fn price_producer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::generic::FusedProducer;
     use fcc_net::presets;
 
     /// A uniform exchange producer with tunable compute weight.
@@ -165,7 +164,7 @@ mod tests {
         bytes_per_item: f64,
     }
 
-    impl FusedProducer for Uniform {
+    impl FusedGeometry for Uniform {
         fn dim(&self) -> usize {
             self.dim
         }
@@ -180,9 +179,6 @@ mod tests {
                 item / self.items_per_dst,
                 (me * self.items_per_dst + item % self.items_per_dst) * self.dim,
             )
-        }
-        fn produce(&self, _me: usize, _item: usize, _out: &mut [f32]) {
-            unreachable!("timing-only test producer")
         }
     }
 

@@ -16,7 +16,7 @@
 //! cargo run --release --example heterogeneous_sharding
 //! ```
 
-use fused_collectives::core::op::generic::{FusedProducer, GenericFusedPlan};
+use fused_collectives::core::op::generic::{FusedGeometry, FusedProducer, GenericFusedPlan};
 use fused_collectives::dlrm::sharding::{plan_table_shards, round_robin_shards, TableCost};
 use fused_collectives::dlrm::{BatchGenerator, EmbeddingTable, PoolingMode};
 use fused_collectives::shmem::{heap::HeapLayout, ShmemWorld};
@@ -42,7 +42,7 @@ struct ShardedEmbedding {
     gens: Vec<BatchGenerator>,
 }
 
-impl FusedProducer for ShardedEmbedding {
+impl FusedGeometry for ShardedEmbedding {
     fn dim(&self) -> usize {
         DIM
     }
@@ -59,6 +59,9 @@ impl FusedProducer for ShardedEmbedding {
         let ls = sample % LOCAL_BATCH;
         (owner, (ls * N_TABLES + table) * DIM)
     }
+}
+
+impl FusedProducer for ShardedEmbedding {
     fn produce(&self, _me: usize, item: usize, out: &mut [f32]) {
         let table = self.my_tables[item / GLOBAL_BATCH];
         let sample = item % GLOBAL_BATCH;
@@ -111,7 +114,7 @@ fn main() {
     // per-PE item lists, but needs one shared layout; plan with the
     // worst-case producer set via a per-PE adapter.
     struct AllPes(Vec<ShardedEmbedding>);
-    impl FusedProducer for AllPes {
+    impl FusedGeometry for AllPes {
         fn dim(&self) -> usize {
             DIM
         }
@@ -124,6 +127,8 @@ fn main() {
         fn destination(&self, me: usize, item: usize) -> (usize, usize) {
             self.0[me].destination(me, item)
         }
+    }
+    impl FusedProducer for AllPes {
         fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
             self.0[me].produce(me, item, out)
         }

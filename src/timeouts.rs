@@ -102,6 +102,12 @@ pub fn skew_smoke_cap() -> Duration {
     Duration::from_secs(get("SKEW_SMOKE_TIMEOUT_SECS"))
 }
 
+/// CI KILL cap for the benchmark smoke (`python3 perfbench/test_run.py`,
+/// which also builds the separately-workspaced benchmark).
+pub fn perfbench_smoke_cap() -> Duration {
+    Duration::from_secs(get("PERFBENCH_SMOKE_TIMEOUT_SECS"))
+}
+
 /// Per-slice delivery timeout used by the chaos tests' fast recovery
 /// policy (`tests/chaos.rs::fast_policy`).
 pub fn chaos_slice_timeout() -> Duration {
@@ -155,6 +161,7 @@ mod tests {
         scaleout_smoke_cap();
         scaleout_bench_cap();
         skew_smoke_cap();
+        perfbench_smoke_cap();
         chaos_slice_timeout();
         chaos_backoff();
         crash_lease();

@@ -88,6 +88,7 @@ proptest! {
         assert_clean(&case, Arc::new(SeededOrder::new(seed)))?;
     }
 
+    /// The fused operator on one P2P group: all direct stores.
     #[test]
     fn zerocopy_matches_reference_on_adversarial_schedules(
         seed in 0u64..1_000_000,
